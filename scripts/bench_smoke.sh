@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
 # Bench smoke lane: run the thread-scaling and halo-gather
 # microbenchmarks with repetitions and write the median-aggregated
-# google-benchmark JSON to BENCH_kernels.json at the repository root —
-# the perf-trajectory artifact future PRs diff against.
+# google-benchmark JSON. Run by hand, it writes BENCH_kernels.json at the
+# repository root — the tracked perf-trajectory record future changes
+# diff against, and this script is the step that updates it. The ctest
+# case (ctest -L bench-smoke) passes a build-tree BENCH_SMOKE_OUT, so
+# running the tests never rewrites the tracked record.
 #
 # Environment:
 #   BENCH_SMOKE_BIN    kernels_micro binary (default: build/bench/kernels_micro)
-#   BENCH_SMOKE_OUT    output JSON path (default: <repo>/BENCH_kernels.json)
+#   BENCH_SMOKE_OUT    output JSON path (default: <repo>/BENCH_kernels.json;
+#                      ctest sets <build>/BENCH_kernels.json)
 #   BENCH_SMOKE_REPS   benchmark repetitions (default: 5)
 #   BENCH_SMOKE_STRICT 1 = fail if the team gather does not beat the
 #                      serial gather at 2 threads (default: report only —
@@ -32,8 +36,8 @@ build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' \
 if [[ "${build_type}" != "Release" ]]; then
   echo "bench_smoke: refusing to write ${out}: ${bin} comes from a" \
        "'${build_type:-unknown}' build tree (${build_dir}), need Release." >&2
-  echo "bench_smoke: configure with -DCMAKE_BUILD_TYPE=Release" \
-       "(scripts/tier1.sh does) and rebuild." >&2
+  echo "bench_smoke: the tree was configured with a non-Release build" \
+       "type; reconfigure it with -DCMAKE_BUILD_TYPE=Release and rebuild." >&2
   exit 1
 fi
 

@@ -108,7 +108,11 @@ export HSPMV_TEST_SEED
 cmake -B "${build_dir}" -S "${repo_root}"
 cmake --build "${build_dir}" -j
 
-ctest --test-dir "${build_dir}" --output-on-failure -j
+# The full pass leaves the benchmark smoke lane out: it runs once, on its
+# own, after the test tiers below. The explicit -j count keeps -LE from
+# being swallowed as -j's argument (see sanitizer_lane).
+ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" \
+  -LE bench-smoke
 
 # The stress label selects the chaos suites; their timeouts double as the
 # deadlock detector for the fault-injection error paths.
@@ -125,6 +129,7 @@ ctest --test-dir "${build_dir}" --output-on-failure -L autotune
 ctest --test-dir "${build_dir}" --output-on-failure -L elastic
 
 # Bench smoke lane: gather + thread-scaling microbenchmarks, medians over
-# repetitions, written to BENCH_kernels.json at the repo root (the perf
-# trajectory artifact). Report-only unless BENCH_SMOKE_STRICT=1.
+# repetitions, written to BENCH_kernels.json in the build directory.
+# scripts/bench_smoke.sh, run by hand, is the step that updates the
+# tracked record at the repo root. Report-only unless BENCH_SMOKE_STRICT=1.
 ctest --test-dir "${build_dir}" --output-on-failure -L bench-smoke
